@@ -126,6 +126,13 @@ func TestRegistryUnknown(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	Register("core-test-dup", func() Code { return xorCode{} })
+	// Unregister afterwards, so the test also passes when it runs more
+	// than once in one process (-count, -cpu lists).
+	t.Cleanup(func() {
+		registryMu.Lock()
+		delete(registry, "core-test-dup")
+		registryMu.Unlock()
+	})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Register did not panic")

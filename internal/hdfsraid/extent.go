@@ -2,7 +2,6 @@ package hdfsraid
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 )
 
@@ -152,7 +151,7 @@ func (s *Store) extentBlockPath(v int, name string, fi FileInfo, ext, stripe, sy
 	if !fi.ExtentPaths {
 		return s.blockPath(v, name, stripe, sym)
 	}
-	return filepath.Join(s.nodeDir(v), fmt.Sprintf("%s.x%d.%d.%d", name, ext, stripe, sym))
+	return s.blockFilePath(v, name, ext, stripe, sym)
 }
 
 // extentOf returns the index of the extent containing file-global data

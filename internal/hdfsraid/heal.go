@@ -130,41 +130,20 @@ func (s *Store) healBlock(cc codec, name string, fi FileInfo, ext, stripe, sym, 
 }
 
 // reconstructBlock recomputes one block payload of a stripe into dst
-// by full-stripe decode: read whatever replicas of the other symbols
-// are healthy, decode (which succeeds for ANY failure pattern within
-// the code's tolerance — a scrubbed stripe may hold several latent
-// errors at once, which the single-erasure partial-parity plan cannot
-// route around), then take the wanted data block directly or re-encode
-// for a parity symbol.
+// from the stripe's other healthy replicas, through the same stripe
+// read a whole-file Get uses: the k data blocks as read when each has
+// a healthy replica, else a full-stripe decode (which succeeds for ANY
+// failure pattern within the code's tolerance — a scrubbed stripe may
+// hold several latent errors at once, which the single-erasure
+// partial-parity plan cannot route around). A data block is then taken
+// directly, a parity block re-encoded. The bad replica itself is
+// already quarantined away (or fails its CRC read), so under a
+// replication code its sibling replicas are the whole source.
 func (s *Store) reconstructBlock(dst []byte, cc codec, name string, fi FileInfo, ext, stripe, sym int) error {
 	k := cc.code.DataSymbols()
-	p := cc.code.Placement()
-	nsym := cc.code.Symbols()
-	symbols := make([][]byte, nsym)
-	var frames [][]byte
-	defer func() {
-		for _, f := range frames {
-			s.framePool.Put(f)
-		}
-	}()
-	// The bad replica itself is already quarantined away (or fails its
-	// CRC read below), so every symbol — including the healed one, whose
-	// sibling replicas are the whole reconstruction source under a
-	// replication code — is scanned for a healthy copy.
-	for sb := 0; sb < nsym; sb++ {
-		for _, v := range p.SymbolNodes[sb] {
-			frame := s.framePool.Get()
-			data, err := s.readBlockInto(s.extentBlockPath(v, name, fi, ext, stripe, sb), frame)
-			if err != nil {
-				s.framePool.Put(frame)
-				continue // any unreadable replica is an erasure to decode
-			}
-			symbols[sb] = data
-			frames = append(frames, frame)
-			break
-		}
-	}
-	data, err := cc.code.Decode(symbols)
+	r := stripeReader{s: s}
+	defer r.close()
+	data, _, err := r.read(cc, name, fi, ext, stripe, k, false)
 	if err != nil {
 		return err
 	}

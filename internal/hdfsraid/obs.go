@@ -10,13 +10,14 @@ import (
 // docs/OBSERVABILITY.md (keep the two in sync; the CI smoke test greps
 // the live endpoint for the core ones).
 const (
-	// Read path: whole-file Get latency, split by whether every symbol
-	// was served from a healthy replica (intact) or at least one stripe
-	// had to reconstruct around missing blocks (degraded).
+	// Read path: whole-file Get latency, split by whether every data
+	// block was served from a healthy replica (intact) or at least one
+	// data block had to be reconstructed (degraded).
 	metricGetIntactNs   = "store_get_intact_ns"
 	metricGetDegradedNs = "store_get_degraded_ns"
 	// Single-block reads, same split: degraded means the block came
-	// through a partial-parity read plan instead of a replica.
+	// through a partial-parity read plan (or a full-stripe decode)
+	// instead of a replica.
 	metricReadBlockIntactNs   = "store_readblock_intact_ns"
 	metricReadBlockDegradedNs = "store_readblock_degraded_ns"
 	metricReadsDegraded       = "store_reads_degraded_total"

@@ -1,6 +1,7 @@
 package hdfsraid
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -106,8 +107,9 @@ func (s *Store) ReadBlockInto(dst []byte, name string, stripe, symbol int) (cost
 // data block (extent-local stripe coordinates) into dst (exactly
 // BlockSize bytes) through a healthy replica or the code's partial-
 // parity read plan, without touching the manifest lock or the heat
-// hook. It is shared by the public block read and the streaming
-// transcode source, whose workers call it concurrently while a sibling
+// hook. Failure patterns the code cannot plan a read around fall back
+// to a full-stripe decode. It is shared by the public block read and
+// the streaming transcode source, whose workers call it concurrently while a sibling
 // move may hold the manifest lock. When heal is set, replicas that
 // failed with a verdict (corrupt or missing) are repaired in place
 // from the delivered bytes once the read succeeds; transcode sources
@@ -165,6 +167,14 @@ func (s *Store) readDataBlockInto(dst []byte, cc codec, name string, fi FileInfo
 replan:
 	for {
 		plan, err := rp.PlanRead(symbol, downNodes, core.OffCluster)
+		var erasure *core.ErasureError
+		if errors.As(err, &erasure) {
+			// No streaming plan for this failure pattern (heptagon-local
+			// with three failures in the symbol's heptagon): decode the
+			// whole stripe instead. The stripe read re-reads the wanted
+			// symbol's replicas and heals every verdict it meets itself.
+			return s.readDataBlockFullStripe(dst, cc, name, fi, ext, stripe, symbol, heal)
+		}
 		if err != nil {
 			return 0, err
 		}
@@ -191,4 +201,137 @@ replan:
 		healAll()
 		return plan.Bandwidth(), nil
 	}
+}
+
+// readDataBlockFullStripe is readDataBlockInto's last resort: deliver
+// one data block through a full-stripe decode. The returned cost is the
+// number of blocks the stripe read loaded.
+func (s *Store) readDataBlockFullStripe(dst []byte, cc codec, name string, fi FileInfo, ext, stripe, symbol int, heal bool) (int, error) {
+	r := stripeReader{s: s}
+	defer r.close()
+	data, _, err := r.read(cc, name, fi, ext, stripe, symbol+1, heal)
+	if err != nil {
+		return 0, err
+	}
+	copy(dst, data[symbol])
+	return len(r.used), nil
+}
+
+// healCand names one replica (symbol, node) whose read failed with a
+// verdict about its bytes: a checksum mismatch or a missing frame.
+type healCand struct{ sym, v int }
+
+// stripeReader reads whole stripes for one goroutine, reusing pooled
+// frames and per-stripe scratch across the stripes it reads. Intact
+// reads of many stripes then allocate nothing per stripe. It is not
+// safe for concurrent use. Call close to return its frames to the pool.
+type stripeReader struct {
+	s       *Store
+	free    [][]byte // pooled frames holding no symbol
+	used    [][]byte // frames holding the current stripe's symbols
+	symbols [][]byte
+	heals   []healCand
+}
+
+// frame takes a free frame, drawing from the pool when none is left.
+func (r *stripeReader) frame() []byte {
+	if n := len(r.free); n > 0 {
+		f := r.free[n-1]
+		r.free = r.free[:n-1]
+		return f
+	}
+	return r.s.framePool.Get()
+}
+
+// close returns every frame the reader holds to the store's pool.
+func (r *stripeReader) close() {
+	for _, f := range r.free {
+		r.s.framePool.Put(f)
+	}
+	for _, f := range r.used {
+		r.s.framePool.Put(f)
+	}
+	r.free, r.used = nil, nil
+}
+
+// readSymbol loads the first readable replica of sym into
+// r.symbols[sym]. Replicas that fail with a verdict before it are noted
+// as heal candidates; transient failures are not. It reports whether
+// any replica was readable.
+func (r *stripeReader) readSymbol(cc codec, name string, fi FileInfo, ext, stripe, sym int) bool {
+	for _, v := range cc.code.Placement().SymbolNodes[sym] {
+		frame := r.frame()
+		data, err := r.s.readBlockInto(r.s.extentBlockPath(v, name, fi, ext, stripe, sym), frame)
+		if err != nil {
+			r.free = append(r.free, frame)
+			if !transientReadErr(err) {
+				r.heals = append(r.heals, healCand{sym, v})
+			}
+			continue
+		}
+		r.symbols[sym] = data
+		r.used = append(r.used, frame)
+		return true
+	}
+	return false
+}
+
+// read delivers data symbols [0, want) of one extent stripe. It reads
+// the replicas of those symbols only. When each has a readable replica
+// it returns them as read: no parity frame, no padding block and no
+// decode. Otherwise it reads the rest of the stripe (padding data and
+// parity) and decodes, and degraded reports that at least one data
+// block was reconstructed.
+//
+// With heal set, a stripe whose data replicas show any damage is read
+// in full even when no decode is needed, so the read meets (and heals)
+// the stripe's other damaged replicas too, as a read of every symbol
+// would. Every replica that failed with a verdict is then healed in
+// place: data replicas from the delivered bytes, parity replicas by
+// re-encoding (see healBlock).
+//
+// The returned blocks alias the reader's frames or the decode output
+// and stay valid until the next read or close.
+func (r *stripeReader) read(cc codec, name string, fi FileInfo, ext, stripe, want int, heal bool) (data [][]byte, degraded bool, err error) {
+	k, nsym := cc.code.DataSymbols(), cc.code.Symbols()
+	r.free = append(r.free, r.used...)
+	r.used = r.used[:0]
+	r.heals = r.heals[:0]
+	if cap(r.symbols) < nsym {
+		r.symbols = make([][]byte, nsym)
+	}
+	r.symbols = r.symbols[:nsym]
+	clear(r.symbols)
+
+	intact := true
+	for sym := 0; sym < want; sym++ {
+		if !r.readSymbol(cc, name, fi, ext, stripe, sym) {
+			intact = false
+		}
+	}
+	if !intact || (heal && len(r.heals) > 0) {
+		for sym := want; sym < nsym; sym++ {
+			r.readSymbol(cc, name, fi, ext, stripe, sym)
+		}
+	}
+	// data holds the stripe's k data blocks as far as they are known:
+	// as read when intact (a padding block may be nil), else decoded.
+	data = r.symbols[:k]
+	if !intact {
+		if data, err = cc.code.Decode(r.symbols); err != nil {
+			return nil, true, err
+		}
+	}
+	if heal {
+		for _, h := range r.heals {
+			var content []byte // nil: healBlock reconstructs it
+			if h.sym < k {
+				content = data[h.sym]
+			}
+			if r.s.healBlock(cc, name, fi, ext, stripe, h.sym, h.v, content) == nil && r.s.obs != nil {
+				r.s.obs.readHeal.Inc()
+			}
+		}
+	}
+	return data[:want], !intact, nil
 }

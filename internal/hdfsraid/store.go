@@ -21,6 +21,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,7 +76,11 @@ type FileInfo struct {
 // each other and with Transcode: mu guards the manifest's file table,
 // codecMu the per-code codec cache.
 type Store struct {
-	root    string
+	root string
+	// nodePrefix is filepath.Join(root, "node-"): node directory and
+	// block paths are appended to it without re-cleaning (see nodeDir).
+	nodePrefix string
+
 	code    core.Code
 	striper *core.Striper
 
@@ -335,7 +341,7 @@ func CreateExt(root, codeName string, blockSize, extentBlocks int) (*Store, erro
 		extentBlocks = 0
 	}
 	s := &Store{
-		root: root, code: c, striper: st, bio: osBlockIO{},
+		root: root, nodePrefix: filepath.Join(root, "node-"), code: c, striper: st, bio: osBlockIO{},
 		codeName: codeName, blockSize: blockSize, extentBlocks: extentBlocks,
 		framePool:   core.NewBlockPool(blockSize + 4),
 		payloadPool: core.NewBlockPool(blockSize),
@@ -379,7 +385,8 @@ func Open(root string) (*Store, error) {
 	if m.Files == nil {
 		m.Files = map[string]FileInfo{}
 	}
-	s := &Store{root: root, code: c, striper: st, manifest: m, bio: osBlockIO{},
+	s := &Store{root: root, nodePrefix: filepath.Join(root, "node-"),
+		code: c, striper: st, manifest: m, bio: osBlockIO{},
 		codeName: m.CodeName, blockSize: m.BlockSize, extentBlocks: m.ExtentBlocks,
 		framePool:   core.NewBlockPool(m.BlockSize + 4),
 		payloadPool: core.NewBlockPool(m.BlockSize),
@@ -534,12 +541,56 @@ func (s *Store) Info(name string) (FileInfo, bool) {
 	return fi, ok
 }
 
+// nodeDir returns node v's directory, root/node-NN (at least two
+// digits).
 func (s *Store) nodeDir(v int) string {
-	return filepath.Join(s.root, fmt.Sprintf("node-%02d", v))
+	return string(s.appendNodeDir(nil, v))
 }
 
+// appendNodeDir appends nodeDir(v) to b. The prefix is already clean
+// and "node-NN" is a plain path element, so the result equals
+// filepath.Join(root, fmt.Sprintf("node-%02d", v)).
+func (s *Store) appendNodeDir(b []byte, v int) []byte {
+	b = append(b, s.nodePrefix...)
+	if v >= 0 && v < 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(v), 10)
+}
+
+// blockPath names a block file in the flat layout:
+// node-NN/<name>.<stripe>.<symbol>.
 func (s *Store) blockPath(v int, name string, stripe, symbol int) string {
-	return filepath.Join(s.nodeDir(v), fmt.Sprintf("%s.%d.%d", name, stripe, symbol))
+	return s.blockFilePath(v, name, -1, stripe, symbol)
+}
+
+// blockFilePath builds a block file path in one allocation:
+// node-NN/<name>.x<ext>.<stripe>.<symbol>, or the flat
+// node-NN/<name>.<stripe>.<symbol> when ext < 0. The file element ends
+// in a digit, so it is never "." or "..", and joining it to the clean
+// node directory needs no cleaning unless name holds a separator. The
+// result is byte-identical to filepath.Join(nodeDir(v),
+// fmt.Sprintf(...)), the form the on-disk layout was defined by.
+func (s *Store) blockFilePath(v int, name string, ext, stripe, symbol int) string {
+	var buf [128]byte
+	b := s.appendNodeDir(buf[:0], v)
+	b = append(b, filepath.Separator)
+	b = append(b, name...)
+	if ext >= 0 {
+		b = append(b, ".x"...)
+		b = strconv.AppendInt(b, int64(ext), 10)
+	}
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(stripe), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(symbol), 10)
+	// Only a name holding a separator needs the cleaning Join did.
+	// Checking both kinds is right on every platform: Clean leaves an
+	// already clean path alone.
+	if strings.ContainsAny(name, `/\`) {
+		return filepath.Clean(string(b))
+	}
+	return string(b)
 }
 
 // reloadManifest re-reads the manifest from disk. Recovery calls it
@@ -757,23 +808,21 @@ func (s *Store) Put(name string, data []byte) (err error) {
 }
 
 // Get reads a file back, decoding around missing or corrupt blocks as
-// long as each stripe remains within the code's erasure tolerance.
-func (s *Store) Get(name string) ([]byte, error) {
-	return s.get(name, false)
-}
-
-// get is Get with an internal flag: maintenance reads (transcodes)
-// skip the heat hook so tiering moves don't count as accesses. The
+// long as each stripe remains within the code's erasure tolerance. The
 // read lock spans the whole read, so a concurrent transcode's block
 // swap can never be observed half-done.
 //
-// Stripes are independent, so they are loaded and decoded by a worker
-// pool, each worker reading block frames into pooled buffers that are
-// recycled as soon as the stripe's bytes are copied into the result —
-// the only steady-state allocation is the returned file buffer.
-func (s *Store) get(name string, internal bool) ([]byte, error) {
-	// degraded flips when any stripe decodes around a missing symbol;
-	// it picks which latency histogram the read lands in.
+// Stripes are independent, so a worker pool reads them, each worker
+// through its own stripeReader. An intact stripe costs one replica read
+// per data block the file holds there, copied straight into the
+// result. Parity and padding are read only in a stripe where a data
+// replica fails its read, and the stripe is decoded only when a data
+// block has no readable replica (see stripeReader.read). Frames are
+// pooled and reused across a worker's stripes, so reading a stripe
+// allocates nothing beyond its block paths and file handles.
+func (s *Store) Get(name string) ([]byte, error) {
+	// degraded flips when any stripe reconstructs a data block; it
+	// picks which latency histogram the read lands in.
 	var start time.Time
 	var degraded atomic.Bool
 	if s.obs != nil {
@@ -790,14 +839,12 @@ func (s *Store) get(name string, internal bool) ([]byte, error) {
 			return nil, fmt.Errorf("hdfsraid: %q extent %d is mid-swap in the journal; run Recover", name, e)
 		}
 	}
-	if !internal {
-		if s.OnRead != nil {
-			s.OnRead(name)
-		}
-		if s.OnReadExtent != nil {
-			for i := range fi.Extents {
-				s.OnReadExtent(name, i)
-			}
+	if s.OnRead != nil {
+		s.OnRead(name)
+	}
+	if s.OnReadExtent != nil {
+		for i := range fi.Extents {
+			s.OnReadExtent(name, i)
 		}
 	}
 	ccs, err := s.extentCodecs(fi)
@@ -833,104 +880,43 @@ func (s *Store) get(name string, internal bool) ([]byte, error) {
 	}
 	errs := make([]error, workers)
 	var failed atomic.Bool
+	work := func(w int) {
+		r := stripeReader{s: s}
+		defer r.close()
+		for j := w; j < len(jobs) && !failed.Load(); j += workers {
+			ext, i := jobs[j].ext, jobs[j].stripe
+			e := fi.Extents[ext]
+			k := ccs[ext].code.DataSymbols()
+			// Only the data symbols carrying file bytes are wanted: a
+			// short last stripe's padding blocks are read (with the
+			// parity) only when the stripe is damaged.
+			want := min(k, e.Blocks-i*k)
+			data, degr, err := r.read(ccs[ext], name, fi, ext, i, want, true)
+			if err != nil {
+				errs[w] = fmt.Errorf("hdfsraid: decoding %q extent %d stripe %d: %w", name, ext, i, err)
+				failed.Store(true)
+				return
+			}
+			if degr {
+				degraded.Store(true)
+			}
+			for b, block := range data {
+				off := (e.Start + i*k + b) * bs // file-global data block
+				copy(out[off:min(off+bs, len(out))], block)
+			}
+		}
+	}
+	// Worker 0 runs on the calling goroutine, so a one-stripe file
+	// spawns no goroutine at all.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var frames [][]byte // free frames, reused across this worker's stripes
-			defer func() {
-				for _, f := range frames {
-					s.framePool.Put(f)
-				}
-			}()
-			getFrame := func() []byte {
-				if n := len(frames); n > 0 {
-					f := frames[n-1]
-					frames = frames[:n-1]
-					return f
-				}
-				return s.framePool.Get()
-			}
-			var symbols, used [][]byte
-			// heals collects (symbol, node) pairs whose replica read
-			// failed with a verdict (corrupt or missing frame) this
-			// stripe; once the stripe decodes, each is repaired in
-			// place from the decoded bytes.
-			type healCand struct{ sym, v int }
-			var heals []healCand
-			for j := w; j < len(jobs) && !failed.Load(); j += workers {
-				ext, i := jobs[j].ext, jobs[j].stripe
-				e := fi.Extents[ext]
-				cc := ccs[ext]
-				p := cc.code.Placement()
-				k := cc.code.DataSymbols()
-				nsym := cc.code.Symbols()
-				if cap(symbols) < nsym {
-					symbols = make([][]byte, nsym)
-					used = make([][]byte, 0, nsym)
-				}
-				symbols = symbols[:nsym]
-				used = used[:0]
-				heals = heals[:0]
-				for sym := 0; sym < nsym; sym++ {
-					symbols[sym] = nil
-					for _, v := range p.SymbolNodes[sym] {
-						frame := getFrame()
-						data, err := s.readBlockInto(s.extentBlockPath(v, name, fi, ext, i, sym), frame)
-						if err != nil {
-							frames = append(frames, frame)
-							if !transientReadErr(err) {
-								heals = append(heals, healCand{sym, v})
-							}
-							continue
-						}
-						symbols[sym] = data
-						used = append(used, frame)
-						break
-					}
-					if symbols[sym] == nil {
-						degraded.Store(true)
-					}
-				}
-				data, err := cc.code.Decode(symbols)
-				if err != nil {
-					errs[w] = fmt.Errorf("hdfsraid: decoding %q extent %d stripe %d: %w", name, ext, i, err)
-					failed.Store(true)
-				} else {
-					for _, h := range heals {
-						// Decoded data blocks heal directly; parity
-						// replicas reconstruct via re-encode inside
-						// healBlock.
-						var content []byte
-						if h.sym < k {
-							content = data[h.sym]
-						}
-						if s.healBlock(cc, name, fi, ext, i, h.sym, h.v, content) == nil && s.obs != nil {
-							s.obs.readHeal.Inc()
-						}
-					}
-					for b := 0; b < k; b++ {
-						g := e.Start + i*k + b // file-global data block
-						if g >= e.Start+e.Blocks {
-							break // extent tail padding
-						}
-						off := g * bs
-						if off >= len(out) {
-							break
-						}
-						n := len(out) - off
-						if n > bs {
-							n = bs
-						}
-						copy(out[off:off+n], data[b][:n])
-					}
-				}
-				frames = append(frames, used...)
-			}
+			work(w)
 		}()
 	}
+	work(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

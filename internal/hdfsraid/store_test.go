@@ -413,9 +413,12 @@ func TestReadBlockRAIDMDegradedCostsNine(t *testing.T) {
 // files before cold ones — so when a cold file turns out to be
 // unrepairable mid-pass, the hot file has already regained its
 // replicas. Without heat the alphabetical order would have died on the
-// cold file first.
+// cold file first. Both halves pin Repair to one worker, so they check
+// the order files are visited in, not how a parallel pass interleaves
+// them.
 func TestRepairHotFilesFirst(t *testing.T) {
 	s := newStore(t, "rs-9-6")
+	s.SetTune(oneDecodeWorker("rs-9-6"))
 	cold := randomFile(t, 6*blockSize, 80)
 	hot := randomFile(t, 6*blockSize, 81)
 	if err := s.Put("a-cold", cold); err != nil {
@@ -461,6 +464,7 @@ func TestRepairHotFilesFirst(t *testing.T) {
 	// Sanity: without heat, alphabetical order dies on a-cold before
 	// b-hot is touched.
 	s2 := newStore(t, "rs-9-6")
+	s2.SetTune(oneDecodeWorker("rs-9-6"))
 	if err := s2.Put("a-cold", cold); err != nil {
 		t.Fatal(err)
 	}
