@@ -456,7 +456,7 @@ func BenchmarkOnlineRepairMR(b *testing.B) {
 }
 
 // BenchmarkReadFile measures the steady-state whole-file read path
-// (pooled frames, per-stripe decode workers): bytes/s of file payload
+// (pooled frames, stripes streamed in order): bytes/s of file payload
 // and — with -benchmem — the proof that block payloads are recycled,
 // not re-allocated (only the returned file buffer remains).
 func BenchmarkReadFile(b *testing.B) {

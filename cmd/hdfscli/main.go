@@ -67,6 +67,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -269,21 +270,46 @@ func doGet(store string, args []string) error {
 	// touch appends one O(1) record to the shared access log; Close
 	// flushes the batch — no whole-tracker rewrite.
 	s.OnReadExtent = func(name string, ext int) { hl.TouchExtent(name, ext, nowSeconds()) }
-	data, err := s.Get(args[0])
-	if err != nil {
-		hl.Close()
-		return err
+	// Stream the file stripe by stripe, so memory stays O(stripe). The
+	// output file is created at the first byte: a read that fails
+	// before it leaves no file behind, one that fails after it removes
+	// the partial file.
+	var out *os.File
+	var createErr error
+	length := 0
+	err = s.GetTo(args[0], func(n int) io.Writer {
+		length = n
+		if out, createErr = os.Create(args[1]); createErr != nil {
+			return failWriter{createErr}
+		}
+		return out
+	})
+	if err == nil {
+		err = createErr // an empty file's start runs after the stream
 	}
-	if err := os.WriteFile(args[1], data, 0o644); err != nil {
+	if out != nil {
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			os.Remove(args[1])
+		}
+	}
+	if err != nil {
 		hl.Close()
 		return err
 	}
 	if err := hl.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("read %s: %d bytes -> %s\n", args[0], len(data), args[1])
+	fmt.Printf("read %s: %d bytes -> %s\n", args[0], length, args[1])
 	return flushObs(store, s)
 }
+
+// failWriter fails every write with err.
+type failWriter struct{ err error }
+
+func (f failWriter) Write([]byte) (int, error) { return 0, f.err }
 
 func doLs(store string) error {
 	s, err := openStore(store)

@@ -61,6 +61,14 @@ func (s *Store) ReadBlockInto(dst []byte, name string, stripe, symbol int) (cost
 			s.obs.bytesOut.Add(int64(len(dst)))
 		}()
 	}
+	// The heat hooks fire once the checks below pass, from a defer
+	// registered before the unlock's, so they run after it.
+	touched := -1
+	defer func() {
+		if touched >= 0 {
+			s.touch(name, touched, touched)
+		}
+	}()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if len(dst) != s.blockSize {
@@ -94,12 +102,7 @@ func (s *Store) ReadBlockInto(dst []byte, name string, stripe, symbol int) (cost
 	if symbol < 0 || symbol >= cc.code.DataSymbols() {
 		return 0, fmt.Errorf("hdfsraid: symbol %d is not a data symbol", symbol)
 	}
-	if s.OnRead != nil {
-		s.OnRead(name)
-	}
-	if s.OnReadExtent != nil {
-		s.OnReadExtent(name, ext)
-	}
+	touched = ext
 	return s.readDataBlockInto(dst, cc, name, fi, ext, local, symbol, true)
 }
 

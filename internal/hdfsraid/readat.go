@@ -14,8 +14,9 @@ import (
 // a healthy replica first, then the code's partial-parity read plan —
 // and only the extents the range intersects are read or counted as
 // heat, so a ranged read of a large file never pays for (or warms) the
-// rest of it. The manifest read lock spans the whole call, so a
-// concurrent transcode's block swap can never be observed half-done.
+// rest of it. The manifest read lock spans the whole read, so a
+// concurrent transcode's block swap can never be observed half-done;
+// the heat hooks run after it is released.
 func (s *Store) ReadAt(p []byte, name string, off int64) (n int, err error) {
 	var start time.Time
 	degraded := false
@@ -35,6 +36,14 @@ func (s *Store) ReadAt(p []byte, name string, off int64) (n int, err error) {
 	if off < 0 {
 		return 0, fmt.Errorf("hdfsraid: negative read offset %d", off)
 	}
+	// The heat hooks fire once the checks below pass, from a defer
+	// registered before the unlock's, so they run after it.
+	firstExt, lastExt := -1, -1
+	defer func() {
+		if firstExt >= 0 {
+			s.touch(name, firstExt, lastExt)
+		}
+	}()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	fi, ok := s.manifest.Files[name]
@@ -54,21 +63,13 @@ func (s *Store) ReadAt(p []byte, name string, off int64) (n int, err error) {
 	bs := int64(s.blockSize)
 	first := int(off / bs)
 	last := int((off + want - 1) / bs)
-	firstExt := extentOf(fi, first)
-	lastExt := extentOf(fi, last)
-	for e := firstExt; e <= lastExt; e++ {
+	lo, hi := extentOf(fi, first), extentOf(fi, last)
+	for e := lo; e <= hi; e++ {
 		if s.pendingSwapLocked(name, e) {
 			return 0, fmt.Errorf("hdfsraid: %q extent %d is mid-swap in the journal; run Recover", name, e)
 		}
 	}
-	if s.OnRead != nil {
-		s.OnRead(name)
-	}
-	if s.OnReadExtent != nil {
-		for e := firstExt; e <= lastExt; e++ {
-			s.OnReadExtent(name, e)
-		}
-	}
+	firstExt, lastExt = lo, hi
 	buf := s.payloadPool.Get()
 	defer s.payloadPool.Put(buf)
 	ext := firstExt

@@ -148,16 +148,18 @@ type Store struct {
 	encodeWorkers atomic.Int64
 
 	// OnRead, when non-nil, is invoked with the file name on every
-	// Get and ReadBlock access. The tier subsystem hooks it to feed
-	// heat tracking; it must be cheap and non-blocking. Set it before
-	// serving concurrent reads.
+	// Get, ReadAt and ReadBlock access. The tier subsystem hooks it to
+	// feed heat tracking. It runs with no store lock held, so a slow
+	// hook delays only its own read. Set it before serving concurrent
+	// reads.
 	OnRead func(name string)
 
 	// OnReadExtent, when non-nil, observes accesses at extent
 	// granularity: Get invokes it once per extent of the file (a whole
-	// -file read touches every extent), ReadBlock with the extent
-	// holding the block. The tier subsystem hooks it to feed per-
-	// extent heat. Same contract as OnRead.
+	// -file read touches every extent), ReadAt once per extent the
+	// range touches, ReadBlock with the extent holding the block. The
+	// tier subsystem hooks it to feed per-extent heat. Same contract
+	// as OnRead.
 	OnReadExtent func(name string, ext int)
 
 	// Heat, when non-nil, reports a file's current access heat. Repair
@@ -805,135 +807,6 @@ func (s *Store) Put(name string, data []byte) (err error) {
 	}
 	s.manifest.Files[name] = fi
 	return s.saveManifest()
-}
-
-// Get reads a file back, decoding around missing or corrupt blocks as
-// long as each stripe remains within the code's erasure tolerance. The
-// read lock spans the whole read, so a concurrent transcode's block
-// swap can never be observed half-done.
-//
-// Stripes are independent, so a worker pool reads them, each worker
-// through its own stripeReader. An intact stripe costs one replica read
-// per data block the file holds there, copied straight into the
-// result. Parity and padding are read only in a stripe where a data
-// replica fails its read, and the stripe is decoded only when a data
-// block has no readable replica (see stripeReader.read). Frames are
-// pooled and reused across a worker's stripes, so reading a stripe
-// allocates nothing beyond its block paths and file handles.
-func (s *Store) Get(name string) ([]byte, error) {
-	// degraded flips when any stripe reconstructs a data block; it
-	// picks which latency histogram the read lands in.
-	var start time.Time
-	var degraded atomic.Bool
-	if s.obs != nil {
-		start = time.Now()
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fi, ok := s.manifest.Files[name]
-	if !ok {
-		return nil, fmt.Errorf("hdfsraid: %w %q", ErrNotFound, name)
-	}
-	for e := range fi.Extents {
-		if s.pendingSwapLocked(name, e) {
-			return nil, fmt.Errorf("hdfsraid: %q extent %d is mid-swap in the journal; run Recover", name, e)
-		}
-	}
-	if s.OnRead != nil {
-		s.OnRead(name)
-	}
-	if s.OnReadExtent != nil {
-		for i := range fi.Extents {
-			s.OnReadExtent(name, i)
-		}
-	}
-	ccs, err := s.extentCodecs(fi)
-	if err != nil {
-		return nil, err
-	}
-	bs := s.blockSize
-	out := make([]byte, fi.Length)
-	// Flatten the extent map into independent (extent, stripe) jobs a
-	// worker pool drains: stripes of different extents decode with
-	// different codes but share the frame pool and the output buffer.
-	type stripeJob struct{ ext, stripe int }
-	var jobs []stripeJob
-	for e, ext := range fi.Extents {
-		for i := 0; i < ext.Stripes; i++ {
-			jobs = append(jobs, stripeJob{e, i})
-		}
-	}
-	if len(jobs) == 0 {
-		return out, nil
-	}
-
-	// Pool size: the widest calibrated decode fan-out among the codes
-	// this file's extents actually use (GOMAXPROCS uncalibrated).
-	workers := 0
-	for _, cc := range ccs {
-		if w := s.decodeWorkersFor(cc.code.Name()); w > workers {
-			workers = w
-		}
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	errs := make([]error, workers)
-	var failed atomic.Bool
-	work := func(w int) {
-		r := stripeReader{s: s}
-		defer r.close()
-		for j := w; j < len(jobs) && !failed.Load(); j += workers {
-			ext, i := jobs[j].ext, jobs[j].stripe
-			e := fi.Extents[ext]
-			k := ccs[ext].code.DataSymbols()
-			// Only the data symbols carrying file bytes are wanted: a
-			// short last stripe's padding blocks are read (with the
-			// parity) only when the stripe is damaged.
-			want := min(k, e.Blocks-i*k)
-			data, degr, err := r.read(ccs[ext], name, fi, ext, i, want, true)
-			if err != nil {
-				errs[w] = fmt.Errorf("hdfsraid: decoding %q extent %d stripe %d: %w", name, ext, i, err)
-				failed.Store(true)
-				return
-			}
-			if degr {
-				degraded.Store(true)
-			}
-			for b, block := range data {
-				off := (e.Start + i*k + b) * bs // file-global data block
-				copy(out[off:min(off+bs, len(out))], block)
-			}
-		}
-	}
-	// Worker 0 runs on the calling goroutine, so a one-stripe file
-	// spawns no goroutine at all.
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	work(0)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if s.obs != nil {
-		elapsed := time.Since(start).Nanoseconds()
-		if degraded.Load() {
-			s.obs.getDegraded.Observe(elapsed)
-			s.obs.readsDegraded.Inc()
-		} else {
-			s.obs.getIntact.Observe(elapsed)
-		}
-		s.obs.bytesOut.Add(int64(len(out)))
-	}
-	return out, nil
 }
 
 // KillNode erases a node's directory contents, simulating node loss.

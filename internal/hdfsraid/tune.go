@@ -9,8 +9,8 @@ import (
 
 // Per-store calibrated parallelism. A tune.json beside the manifest
 // (written by `hdfscli tune`, see internal/tune) sizes the encode,
-// decode, repair and move worker pools per code instead of handing
-// every pipeline GOMAXPROCS. Stores without one — or with a stale one,
+// repair and move worker pools per code instead of handing every
+// pipeline GOMAXPROCS. Stores without one — or with a stale one,
 // probed under a different kernel tier or machine size — keep the
 // GOMAXPROCS defaults.
 
@@ -59,15 +59,6 @@ func (s *Store) installTune(p *tune.Params) {
 // calibrated when known, GOMAXPROCS otherwise.
 func (s *Store) encodeWorkersFor(code string) int {
 	if w := s.Tune().EncodeWorkers(code); w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// decodeWorkersFor is encodeWorkersFor's decode twin, sizing degraded
-// stripe reconstruction fan-out.
-func (s *Store) decodeWorkersFor(code string) int {
-	if w := s.Tune().DecodeWorkers(code); w > 0 {
 		return w
 	}
 	return runtime.GOMAXPROCS(0)

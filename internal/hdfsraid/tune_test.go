@@ -40,9 +40,6 @@ func TestStoreLoadsTuneAtOpen(t *testing.T) {
 	if got := s2.encodeWorkersFor("pentagon"); got != 1 {
 		t.Fatalf("calibrated encode workers = %d, want 1", got)
 	}
-	if got := s2.decodeWorkersFor("pentagon"); got != 1 {
-		t.Fatalf("calibrated decode workers = %d, want 1", got)
-	}
 	if got := s2.repairWorkers(); got != 1 {
 		t.Fatalf("repair workers = %d, want 1", got)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -96,14 +97,24 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		// Multi-range or malformed: fall through and serve the whole
 		// file, which RFC 9110 permits.
 	}
-	data, err := s.Get(name)
-	if err != nil {
+	started := false
+	err := s.GetTo(name, func(length int) io.Writer {
+		started = true
+		w.Header().Set("Content-Length", strconv.Itoa(length))
+		w.Header().Set("Accept-Ranges", "bytes")
+		return w
+	})
+	if err == nil {
+		return
+	}
+	if !started {
 		httpError(w, err)
 		return
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Header().Set("Accept-Ranges", "bytes")
-	w.Write(data)
+	// The status line and part of the body are out. Aborting the
+	// connection is the only way left to tell the client: it sees a
+	// body shorter than Content-Length, never a 200 with wrong bytes.
+	panic(http.ErrAbortHandler)
 }
 
 // serveRange answers one Range request via the shard's ReadAt. n < 0

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -293,24 +294,51 @@ func (s *Server) Put(name string, r io.Reader) error {
 	return s.routeFor(name).cur.store.PutReader(name, r)
 }
 
-// Get reads a whole file from its owning shard. During a reshard a
-// miss on the new ring falls back to the name's old-ring shard: a
-// name is always wholly readable on at least one of the two.
+// Get reads a whole file from its owning shard into memory: GetTo
+// into a buffer sized from the file's length.
 func (s *Server) Get(name string) ([]byte, error) {
+	var buf *bytes.Buffer
+	err := s.GetTo(name, func(length int) io.Writer {
+		buf = bytes.NewBuffer(make([]byte, 0, length))
+		return buf
+	})
+	if err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// GetTo streams a whole file from its owning shard to the sink start
+// returns (see hdfsraid.Store.GetTo). During a reshard a miss on the
+// new ring falls back to the name's old-ring shard: a name is always
+// wholly readable on at least one of the two. A fallback is tried only
+// while start has not been called, so the sink never sees two copies.
+func (s *Server) GetTo(name string, start func(length int) io.Writer) error {
+	started := false
+	begin := func(length int) io.Writer {
+		started = true
+		return start(length)
+	}
 	rt := s.routeFor(name)
-	data, err := rt.cur.store.Get(name)
-	if err == nil || rt.old == nil || !errors.Is(err, hdfsraid.ErrNotFound) {
-		return data, err
+	err := rt.cur.store.GetTo(name, begin)
+	if err == nil || started || rt.old == nil || !errors.Is(err, hdfsraid.ErrNotFound) {
+		return err
 	}
-	data, err2 := rt.old.store.Get(name)
-	if err2 == nil {
+	err = rt.old.store.GetTo(name, begin)
+	if err == nil {
 		s.reg.Counter("reshard_fallback_reads_total").Inc()
-		return data, nil
+		return nil
 	}
-	if errors.Is(err2, hdfsraid.ErrNotFound) {
-		return nil, s.fallbackErr(name, rt, err2)
+	if started || !errors.Is(err, hdfsraid.ErrNotFound) {
+		return err
 	}
-	return nil, err2
+	// The resharder deletes the old-ring copy only once the new-ring
+	// copy is verified, so a name that vanished from the old ring
+	// while this read looked for it is on the new ring now.
+	if err2 := rt.cur.store.GetTo(name, begin); err2 == nil || started || !errors.Is(err2, hdfsraid.ErrNotFound) {
+		return err2
+	}
+	return s.fallbackErr(name, rt, err)
 }
 
 // ReadAt reads a byte range of a file from its owning shard,

@@ -32,7 +32,8 @@ type CodeTune struct {
 	// of this machine's peak encode throughput for the code — more
 	// workers past that point only steal CPU from concurrent requests.
 	EncodeWorkers int `json:"encode_workers"`
-	// DecodeWorkers sizes parallel degraded-read reconstruction.
+	// DecodeWorkers sizes parallel stripe reconstruction (the store's
+	// repair fan-out).
 	DecodeWorkers int     `json:"decode_workers"`
 	EncodeMBps    float64 `json:"encode_mb_per_s,omitempty"`
 	DecodeMBps    float64 `json:"decode_mb_per_s,omitempty"`
@@ -221,8 +222,8 @@ func probeCode(c core.Code, opt Options) (CodeTune, error) {
 	}
 
 	// Decode probe: reconstruct stripes that each lost one data symbol
-	// — the degraded-read inner loop — fanned across w workers the way
-	// Store.Get fans stripes out.
+	// — the degraded-read inner loop — fanned across w workers, the
+	// parallelism Store.Repair's per-file fan-out runs at.
 	encoded, err := st.EncodeFile(data)
 	if err != nil {
 		return ct, err
